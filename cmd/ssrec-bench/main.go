@@ -51,7 +51,6 @@ func main() {
 		batch        = flag.Int("batch", 64, "throughput mode: observe micro-batch size (<=1 replays per-item Observe)")
 		topK         = flag.Int("k", 30, "throughput mode: recommendations per item")
 		session      = flag.Bool("session", false, "throughput mode: drive readers and writers through OpenSession-style sessions (one ordered Push/Ask stream per worker) instead of direct calls")
-		scatter      = flag.String("scatter", "stream", "throughput mode, -remote-shards only: scatter transport — \"stream\" multiplexes every query over one per-shard query stream, \"item\" opens one HTTP/2 stream per item (the pre-mux wire behavior, for comparison)")
 		walDir       = flag.String("wal", "", "throughput mode, single-engine only: durable ingest WAL directory — every write batch is logged (and per -fsync, fsynced) before it is applied, measuring the durability tax on the ingest path")
 		fsync        = flag.String("fsync", "batch", "throughput mode, -wal only: fsync policy — batch (sync before every ack), interval (background 100ms ticker), off (OS page cache only)")
 		jsonOut      = flag.String("json", "", "throughput mode: write the JSON report here")
@@ -67,7 +66,7 @@ func main() {
 		runThroughput(throughputConfig{
 			Scale: *scale, Seed: *seed, Parallel: *parallel, Partitions: *partitions,
 			Shards: *shards, Replicas: *replicas, RemoteShards: *remoteShards, Writers: *writers, Batch: *batch,
-			K: *topK, Session: *session, Scatter: *scatter, WALDir: *walDir, Fsync: *fsync, JSONPath: *jsonOut,
+			K: *topK, Session: *session, WALDir: *walDir, Fsync: *fsync, JSONPath: *jsonOut,
 			ScrapeURL: *scrapeURL,
 		})
 		return

@@ -16,7 +16,7 @@
 // -batch      B  observe micro-batch size: B interactions per write-lock
 //
 //	acquisition + index flush (ObserveBatch); B <= 1 replays
-//	the v1 per-interaction Observe path for comparison
+//	the per-interaction Engine.Observe path for comparison
 //
 // -shards     N  replay through an N-shard scatter-gather deployment
 //
@@ -34,12 +34,6 @@
 //	the handoff protocol before the replay; reader latency then
 //	includes the network scatter/gather round trip
 //
-// -scatter stream|item  (with -remote-shards) multiplex every query over
-//
-//	one per-shard query stream (default), or open one HTTP/2
-//	stream per item — the pre-mux wire behavior, kept for
-//	before/after comparison (BENCH_PR5.json)
-//
 // -session  drive readers and writers through ordered Push/Ask sessions
 //
 //	(core.Session — the OpenSession path) instead of direct
@@ -50,7 +44,8 @@
 //	(internal/wal via server.WrapWAL — the exact production wrapper)
 //	between the writers and the engine: every write batch is logged,
 //	and per -fsync fsynced, BEFORE it is applied, so the writer
-//	numbers measure the durability tax on the ingest path
+//	numbers measure the durability tax on the ingest path (needs
+//	-batch > 1: the log records micro-batches)
 //
 // -fsync batch|interval|off  (with -wal) the log's fsync policy; the
 //
@@ -95,7 +90,6 @@ type throughputConfig struct {
 	Batch        int
 	K            int
 	Session      bool
-	Scatter      string // "stream" (multiplexed, default) or "item"
 	WALDir       string // non-empty: wrap the single engine with the durable ingest WAL
 	Fsync        string // WAL fsync policy: "batch", "interval" or "off"
 	JSONPath     string
@@ -108,15 +102,13 @@ type throughputConfig struct {
 // measure the RPC transport), anything else is a comma-separated list of
 // running ssrec-shardd addresses in shard-index order. Either way the
 // trained engine's snapshot is pushed to every shard over the handoff
-// protocol before the replay starts. scatter "item" disables the
-// multiplexed query stream (one HTTP/2 stream per item — the pre-mux
-// behavior, kept measurable for BENCH_PR5.json comparisons). replicas > 1
-// replicates every slot that many ways: a numeric spec spawns N*replicas
-// loopback servers (slot-major), an address list must already be
-// slot-major with N*replicas entries; writes broadcast to every replica
-// and reads load-balance across them, so the R=1 vs R=2 read numbers
-// measure the replica fan-in directly.
-func bootRemoteShards(eng *core.Engine, spec, scatter string, replicas int) (*shard.Router, int) {
+// protocol before the replay starts. replicas > 1 replicates every slot
+// that many ways: a numeric spec spawns N*replicas loopback servers
+// (slot-major), an address list must already be slot-major with
+// N*replicas entries; writes broadcast to every replica and reads
+// load-balance across them, so the R=1 vs R=2 read numbers measure the
+// replica fan-in directly.
+func bootRemoteShards(eng *core.Engine, spec string, replicas int) (*shard.Router, int) {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "throughput: "+format+"\n", args...)
 		os.Exit(1)
@@ -161,9 +153,7 @@ func bootRemoteShards(eng *core.Engine, spec, scatter string, replicas int) (*sh
 	for i := 0; i < n; i++ {
 		group := make([]shard.Shard, replicas)
 		for j := 0; j < replicas; j++ {
-			c := shardrpc.NewClient(addrs[i*replicas+j], i, n)
-			c.DisableMuxScatter = scatter == "item"
-			group[j] = c
+			group[j] = shardrpc.NewClient(addrs[i*replicas+j], i, n)
 		}
 		if replicas == 1 {
 			slots[i] = group[0]
@@ -210,7 +200,6 @@ type ThroughputResult struct {
 	Shards      int     `json:"shards"`              // scatter-gather deployment width (1 = single engine)
 	Replicas    int     `json:"replicas,omitempty"`  // replicas per shard slot (omitted when 1)
 	Transport   string  `json:"transport,omitempty"` // "rpc" when the shards are remote (loopback or external)
-	Scatter     string  `json:"scatter,omitempty"`   // "stream" (multiplexed) or "item" (one h2 stream per item); rpc only
 	Session     bool    `json:"session,omitempty"`   // replay driven through sessions (Push/Ask) instead of direct calls
 	Items       int     `json:"items"`
 	TotalSec    float64 `json:"total_sec"`
@@ -257,10 +246,6 @@ func runThroughput(tc throughputConfig) {
 	if shards < 1 {
 		shards = 1
 	}
-	if tc.Scatter != "item" && tc.Scatter != "stream" {
-		fmt.Fprintf(os.Stderr, "throughput: -scatter must be \"stream\" or \"item\", got %q\n", tc.Scatter)
-		os.Exit(1)
-	}
 	cfg := dataset.YTubeConfig(scale)
 	cfg.Seed = seed
 	ds := dataset.Generate(cfg)
@@ -301,7 +286,7 @@ func runThroughput(tc throughputConfig) {
 	var backend benchBackend = eng
 	transport := ""
 	if remoteShards != "" {
-		router, n := bootRemoteShards(eng, remoteShards, tc.Scatter, tc.Replicas)
+		router, n := bootRemoteShards(eng, remoteShards, tc.Replicas)
 		backend, shards, transport = router, n, "rpc"
 	} else if shards > 1 {
 		var buf bytes.Buffer
@@ -326,11 +311,18 @@ func runThroughput(tc throughputConfig) {
 	// -wal: interpose the durable ingest log — through server.WrapWAL, the
 	// exact production wrapper — AFTER the boot-state setup (training and
 	// registrations), anchored by a checkpoint the way a daemon anchors
-	// its boot, so the log captures only the measured writes.
+	// its boot, so the log captures only the measured writes. Writes go
+	// through the wrapper; reads stay on the engine, since every query
+	// item is registered above and a warm query logs nothing.
 	var walLog *wal.Log
+	var ingest core.SessionBackend = backend
 	if tc.WALDir != "" {
 		if transport != "" || shards > 1 {
 			fmt.Fprintln(os.Stderr, "throughput: -wal measures the single-engine ingest path; sharded durability lives in ssrec-shardd -wal-dir")
+			os.Exit(1)
+		}
+		if writers > 0 && batch <= 1 {
+			fmt.Fprintln(os.Stderr, "throughput: -wal logs observe micro-batches; use -batch > 1")
 			os.Exit(1)
 		}
 		policy, err := wal.ParsePolicy(tc.Fsync)
@@ -348,7 +340,7 @@ func runThroughput(tc throughputConfig) {
 			fmt.Fprintf(os.Stderr, "throughput: wal checkpoint: %v\n", err)
 			os.Exit(1)
 		}
-		backend = wb
+		ingest = wb
 	}
 
 	// Writer stream: the post-training interactions, resolved to items.
@@ -426,7 +418,7 @@ func runThroughput(tc throughputConfig) {
 				if tc.Session {
 					// -session: one ordered ingest stream per writer; the
 					// session micro-batches Pushes into ObserveBatch calls.
-					ses := core.NewSession(context.Background(), backend,
+					ses := core.NewSession(context.Background(), ingest,
 						core.WithSessionBatch(batch))
 					for _, o := range chunk {
 						if ses.Push(o) != nil {
@@ -446,7 +438,7 @@ func runThroughput(tc throughputConfig) {
 							backend.Observe(model.Interaction{UserID: o.UserID, ItemID: o.Item.ID, Timestamp: o.Timestamp}, o.Item)
 							writerApplied.Add(1)
 						} else {
-							rep, _ := backend.ObserveBatch(context.Background(), chunk[:n])
+							rep, _ := ingest.ObserveBatch(context.Background(), chunk[:n])
 							writerApplied.Add(int64(rep.Applied))
 							flushedUsers.Add(int64(rep.Flushed))
 						}
@@ -501,15 +493,12 @@ func runThroughput(tc throughputConfig) {
 		P99Us:       us(pct(0.99)),
 		MaxUs:       us(latencies[len(latencies)-1]),
 	}
-	if res.Transport == "rpc" {
-		res.Scatter = tc.Scatter
-		if tc.Replicas > 1 {
-			res.Replicas = tc.Replicas
-		}
+	if res.Transport == "rpc" && tc.Replicas > 1 {
+		res.Replicas = tc.Replicas
 	}
 	shardsDesc := fmt.Sprintf("%d shards", res.Shards)
 	if res.Transport == "rpc" {
-		shardsDesc = fmt.Sprintf("%d remote shards (scatter=%s)", res.Shards, res.Scatter)
+		shardsDesc = fmt.Sprintf("%d remote shards", res.Shards)
 		if res.Replicas > 1 {
 			shardsDesc += fmt.Sprintf(" x%d replicas", res.Replicas)
 		}

@@ -1,6 +1,6 @@
 // Command ssrec-shardd serves ONE shard of a distributed ssRec deployment
 // over the shard RPC protocol (internal/shardrpc): HTTP/2 + NDJSON, with
-// the full-duplex bound-streaming recommend exchange, micro-batch
+// the multiplexed bound-streaming query stream, micro-batch
 // replication, per-shard stats and the snapshot boot/handoff endpoint.
 //
 // A shardd always knows its identity — shard -index of an -of-wide
@@ -35,9 +35,7 @@
 //	curl -s localhost:9101/shard/v1/readyz  # readiness: 200 only when booted AND trained
 //	curl -s localhost:9101/shard/v1/stats
 //
-// (/shard/v1/health is a deprecated alias of the old combined check; it
-// keeps answering, with a Deprecation header — point restart probes at
-// /livez and load-balancer membership at /readyz.)
+// Point restart probes at /livez and load-balancer membership at /readyz.
 package main
 
 import (
@@ -66,8 +64,8 @@ func main() {
 		model = flag.String("model", "", "boot from a saved engine snapshot (core.SaveFile format); omit to await a snapshot handoff")
 
 		partitions = flag.Int("partitions", 0, "intra-query search partitions; > 0 overrides the snapshot's setting and applies to handoff boots")
-		boundFlush = flag.Duration("bound-flush", shardrpc.DefaultBoundFlush, "sampling interval of the bound-raise stream on the recommend exchange")
-		authToken  = flag.String("auth-token", "", "shared bearer token: every endpoint (health included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
+		boundFlush = flag.Duration("bound-flush", shardrpc.DefaultBoundFlush, "sampling interval of the bound-raise stream on the query stream")
+		authToken  = flag.String("auth-token", "", "shared bearer token: every endpoint (probes included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
 
 		walDir        = flag.String("wal-dir", "", "durable ingest WAL directory: every admitted write batch is logged before it is applied, and on boot the latest checkpoint plus the log tail are recovered (taking precedence over -model)")
 		walFsync      = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval (background ticker), off (OS page cache only)")
@@ -134,9 +132,10 @@ func main() {
 			log.Fatalf("boot shard %d/%d from %s: %v", *index, *of, *model, err)
 		}
 		srv.Boot(eng)
-		if ist, ok := eng.IndexStats(); ok {
+		if eng.Trained() {
+			ist := eng.IndexStats()
 			log.Printf("shard %d/%d booted from %s: %d/%d owned users, %d leaves",
-				*index, *of, *model, ist.OwnedUsers, eng.Users(), ist.TotalLeafCount)
+				*index, *of, *model, ist.OwnedUsers, eng.Users(), ist.Leaves)
 		}
 		if srv.WAL != nil {
 			// Anchor the fresh boot in the log so a crash before the first

@@ -903,15 +903,32 @@ func (e *Engine) Users() int {
 	return e.store.Len()
 }
 
-// IndexStats snapshots the CPPse-index statistics (concurrency-safe).
-// ok is false before Train.
-func (e *Engine) IndexStats() (stats cppse.IndexStats, ok bool) {
+// IndexStatsView is the serving-facing summary of the CPPse-index, plus
+// the engine-level refresh-error counter.
+type IndexStatsView struct {
+	Blocks     int
+	Trees      int
+	Users      int // users with a block assignment (all users, even sharded)
+	OwnedUsers int // users whose leaves this engine materialises
+	Leaves     int // materialised leaf entries across all trees
+	HashKeys   int
+	// RefreshErrors counts failed index refreshes (Engine.RefreshErrors).
+	RefreshErrors int64
+}
+
+// IndexStats snapshots the index statistics (concurrency-safe). Before
+// Train only RefreshErrors is set; check Trained to tell the two apart.
+func (e *Engine) IndexStats() IndexStatsView {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	stats := IndexStatsView{RefreshErrors: e.refreshErrs}
 	if e.index == nil {
-		return stats, false
+		return stats
 	}
-	return e.index.Stats(), true
+	st := e.index.Stats()
+	stats.Blocks, stats.Trees, stats.Users, stats.HashKeys = st.Blocks, st.Trees, st.Users, st.HashKeys
+	stats.OwnedUsers, stats.Leaves = st.OwnedUsers, st.TotalLeafCount
+	return stats
 }
 
 // Store exposes the profile store (read-mostly; used by experiments).

@@ -151,9 +151,12 @@ func TestFlushUpdatesCount(t *testing.T) {
 	}
 }
 
+// TestSafeEngineConcurrentUse feeds interleaved Recommend and Observe
+// calls on one shared user from several goroutines straight into an
+// Engine, whose own RWMutex makes that safe. Run with -race.
 func TestSafeEngineConcurrentUse(t *testing.T) {
 	ds := testDataset(t)
-	safe := NewSafe(Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
+	safe := New(Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
 	parts := ds.Partition(6)
 	var train []model.Interaction
 	train = append(train, parts[0]...)

@@ -111,7 +111,7 @@ func TestRefreshErrorsSurfaced(t *testing.T) {
 		t.Fatalf("RefreshErrors = %d, want 1", got)
 	}
 	// Surfaced through the stats view (and hence /v2/stats).
-	if got := WrapSafe(eng).IndexStats().RefreshErrors; got != 1 {
+	if got := eng.IndexStats().RefreshErrors; got != 1 {
 		t.Fatalf("IndexStats().RefreshErrors = %d, want 1", got)
 	}
 	// The engine keeps serving.

@@ -30,9 +30,6 @@ func (b *blockingBackend) ObserveBatch(ctx context.Context, batch []core.Observa
 	return core.BatchReport{Applied: len(batch), Flushed: len(batch)}, nil
 }
 
-func (b *blockingBackend) Recommend(v model.Item, k int) []model.Recommendation { return nil }
-func (b *blockingBackend) Observe(ir model.Interaction, v model.Item)           {}
-func (b *blockingBackend) RegisterItem(v model.Item)                            {}
 func (b *blockingBackend) RecommendBatch(ctx context.Context, items []model.Item, opts ...core.Option) ([]core.Result, error) {
 	return make([]core.Result, len(items)), nil
 }

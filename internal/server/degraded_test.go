@@ -41,12 +41,9 @@ func (d degradedBackend) ObserveBatch(ctx context.Context, batch []core.Observat
 	return core.BatchReport{Applied: len(batch), Flushed: len(batch)}, d.degraded()
 }
 
-func (degradedBackend) Recommend(v model.Item, k int) []model.Recommendation { return nil }
-func (degradedBackend) Observe(ir model.Interaction, v model.Item)           {}
-func (degradedBackend) RegisterItem(v model.Item)                            {}
-func (degradedBackend) Users() int                                           { return 1 }
-func (degradedBackend) Parallelism() int                                     { return 1 }
-func (degradedBackend) IndexStats() core.IndexStatsView                      { return core.IndexStatsView{} }
+func (degradedBackend) Users() int                      { return 1 }
+func (degradedBackend) Parallelism() int                { return 1 }
+func (degradedBackend) IndexStats() core.IndexStatsView { return core.IndexStatsView{} }
 
 func TestRecommendV2DegradedPartialResults(t *testing.T) {
 	s := NewBackend(degradedBackend{})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 
 	"ssrec/internal/core"
@@ -14,29 +16,25 @@ import (
 	"ssrec/internal/model"
 )
 
-func testServer(t testing.TB) (*Server, *dataset.Dataset) {
+// trainedEngine trains an engine deterministically on the leading third
+// of a small generated stream. Calling it twice yields twins: identical
+// training, identical state.
+func trainedEngine(t testing.TB) (*core.Engine, *dataset.Dataset) {
 	t.Helper()
 	cfg := dataset.YTubeConfig(0.2)
 	cfg.Seed = 31
 	ds := dataset.Generate(cfg)
-	safe := core.NewSafe(core.Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
-	// Train via the harness (batch path) on the leading third.
-	if err := evalx.Train(asTrainer{safe}, ds, evalx.Setup{}); err != nil {
+	eng := core.New(core.Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
+	if err := evalx.Train(eng, ds, evalx.Setup{}); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	return New(safe), ds
+	return eng, ds
 }
 
-// asTrainer adapts SafeEngine to the harness interfaces.
-type asTrainer struct{ *core.SafeEngine }
-
-func (a asTrainer) Name() string                               { return a.SafeEngine.Name() }
-func (a asTrainer) Observe(ir model.Interaction, v model.Item) { a.SafeEngine.Observe(ir, v) }
-func (a asTrainer) Recommend(v model.Item, k int) []model.Recommendation {
-	return a.SafeEngine.Recommend(v, k)
-}
-func (a asTrainer) Train(items []model.Item, irs []model.Interaction, resolve func(string) (model.Item, bool)) error {
-	return a.SafeEngine.Train(items, irs, resolve)
+func testServer(t testing.TB) (*Server, *dataset.Dataset) {
+	t.Helper()
+	eng, ds := trainedEngine(t)
+	return New(eng), ds
 }
 
 func post(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -74,76 +72,106 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestRecommendEndpoint(t *testing.T) {
-	s, ds := testServer(t)
-	v := ds.Items[len(ds.Items)-1]
-	rr := post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(v), "k": 5})
+// recommendOne asks POST /v2/recommend for one item's top k (k <= 0
+// leaves k to the server default) and returns that item's result.
+func recommendOne(t *testing.T, h http.Handler, v model.Item, k int) resultV2JSON {
+	t.Helper()
+	body := map[string]any{"items": []map[string]any{itemBody(v)}}
+	if k > 0 {
+		body["k"] = k
+	}
+	rr := post(t, h, "/v2/recommend", body)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body)
 	}
-	var resp struct {
-		ItemID          string `json:"item_id"`
-		Recommendations []struct {
-			UserID string  `json:"user_id"`
-			Score  float64 `json:"score"`
-		} `json:"recommendations"`
+	resp := decodeV2(t, rr)
+	if len(resp.Results) != 1 {
+		t.Fatalf("%d results, want 1", len(resp.Results))
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("bad JSON: %v", err)
+	return resp.Results[0]
+}
+
+func TestRecommendEndpoint(t *testing.T) {
+	s, ds := testServer(t)
+	v := ds.Items[len(ds.Items)-1]
+	res := recommendOne(t, s.Handler(), v, 5)
+	if res.ItemID != v.ID || res.Error != nil {
+		t.Fatalf("result = %+v, want item %s without error", res, v.ID)
 	}
-	if resp.ItemID != v.ID {
-		t.Errorf("item_id = %s", resp.ItemID)
+	if len(res.Recommendations) == 0 || len(res.Recommendations) > 5 {
+		t.Errorf("got %d recommendations", len(res.Recommendations))
 	}
-	if len(resp.Recommendations) == 0 || len(resp.Recommendations) > 5 {
-		t.Errorf("got %d recommendations", len(resp.Recommendations))
-	}
-	for i := 1; i < len(resp.Recommendations); i++ {
-		if resp.Recommendations[i].Score > resp.Recommendations[i-1].Score {
+	for i := 1; i < len(res.Recommendations); i++ {
+		if res.Recommendations[i].Score > res.Recommendations[i-1].Score {
 			t.Error("unsorted recommendations")
 		}
 	}
 }
 
+// TestRecommendDefaultsAndCaps: an omitted k means core.DefaultK, and a
+// k above MaxK is capped.
 func TestRecommendDefaultsAndCaps(t *testing.T) {
 	s, ds := testServer(t)
-	s.MaxK = 3
+	h := s.Handler()
 	v := ds.Items[len(ds.Items)-1]
-	rr := post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(v), "k": 50})
-	var resp struct {
-		Recommendations []json.RawMessage `json:"recommendations"`
+	explicit := recommendOne(t, h, v, core.DefaultK)
+	if def := recommendOne(t, h, v, 0); !reflect.DeepEqual(def, explicit) {
+		t.Errorf("omitted k answered %d recs, k=%d answered %d", len(def.Recommendations), core.DefaultK, len(explicit.Recommendations))
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Recommendations) > 3 {
-		t.Errorf("MaxK not enforced: %d", len(resp.Recommendations))
+	s.MaxK = 3
+	if res := recommendOne(t, h, v, 50); len(res.Recommendations) != 3 {
+		t.Errorf("MaxK not enforced: %d recs, want 3", len(res.Recommendations))
 	}
 }
 
+// TestRecommendValidation: an item without id or category is refused per
+// item (the batch still answers 200); an unknown request field fails the
+// whole request.
 func TestRecommendValidation(t *testing.T) {
 	s, _ := testServer(t)
-	cases := []map[string]any{
-		{"item": map[string]any{"category": "x"}},       // missing id
-		{"item": map[string]any{"id": "a"}},             // missing category
-		{"item": map[string]any{}, "unknown_field": 12}, // unknown field
-	}
-	for i, body := range cases {
-		rr := post(t, s.Handler(), "/v1/recommend", body)
-		if rr.Code != http.StatusBadRequest {
-			t.Errorf("case %d: status %d", i, rr.Code)
+	for i, item := range []map[string]any{
+		{"category": "x"}, // missing id
+		{"id": "a"},       // missing category
+	} {
+		rr := post(t, s.Handler(), "/v2/recommend", map[string]any{"items": []map[string]any{item}})
+		if rr.Code != http.StatusOK {
+			t.Fatalf("case %d: status %d", i, rr.Code)
+		}
+		if res := decodeV2(t, rr).Results[0]; res.Error == nil || res.Error.Code != "invalid_item" {
+			t.Errorf("case %d: result %+v, want invalid_item", i, res)
 		}
 	}
+	for i, body := range []map[string]any{
+		{"items": []map[string]any{{"id": "a", "category": "x"}}, "unknown_field": 12},
+		{"items": []map[string]any{{"id": "a", "category": "x", "unknown_field": 12}}},
+	} {
+		if rr := post(t, s.Handler(), "/v2/recommend", body); rr.Code != http.StatusBadRequest {
+			t.Errorf("unknown field case %d: status %d, want 400", i, rr.Code)
+		}
+	}
+}
+
+// observeOne posts one NDJSON observation line and returns its status
+// line and the summary.
+func observeOne(t *testing.T, h http.Handler, userID string, v model.Item, ts int64) (status, summary map[string]any) {
+	t.Helper()
+	rr := postRaw(t, h, "/v2/observe", "application/x-ndjson", []byte(observeLine(userID, v, ts)+"\n"))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	}
+	out := ndjsonLines(t, rr.Body.String())
+	if len(out) != 2 {
+		t.Fatalf("%d response lines, want status + summary:\n%s", len(out), rr.Body)
+	}
+	return out[0], out[1]
 }
 
 func TestObserveEndpoint(t *testing.T) {
 	s, ds := testServer(t)
 	before := s.eng.Users()
 	v := ds.Items[0]
-	rr := post(t, s.Handler(), "/v1/observe", map[string]any{
-		"user_id": "http-user", "item": itemBody(v), "timestamp": v.Timestamp + 9,
-	})
-	if rr.Code != http.StatusNoContent {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	if st, _ := observeOne(t, s.Handler(), "http-user", v, v.Timestamp+9); st["status"] != "ok" {
+		t.Fatalf("status line = %v", st)
 	}
 	if s.eng.Users() != before+1 {
 		t.Errorf("user count %d, want %d", s.eng.Users(), before+1)
@@ -152,55 +180,61 @@ func TestObserveEndpoint(t *testing.T) {
 
 func TestObserveValidation(t *testing.T) {
 	s, ds := testServer(t)
-	v := ds.Items[0]
-	rr := post(t, s.Handler(), "/v1/observe", map[string]any{"item": itemBody(v)})
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("missing user_id accepted: %d", rr.Code)
+	st, sum := observeOne(t, s.Handler(), "", ds.Items[0], 1)
+	if st["status"] != "error" || st["error"].(map[string]any)["code"] != "invalid_observation" {
+		t.Fatalf("missing user_id accepted: %v", st)
+	}
+	if int(sum["applied"].(float64)) != 0 {
+		t.Fatalf("summary = %v, want nothing applied", sum)
 	}
 }
 
+// TestItemEndpoint: a fresh item reaches the engine's dictionaries
+// through the /v2/recommend registration prologue.
 func TestItemEndpoint(t *testing.T) {
 	s, ds := testServer(t)
+	eng := s.eng.(*core.Engine)
 	v := model.Item{ID: "fresh-http-item", Category: ds.Categories[0], Producer: "up0000",
 		Entities: []string{"x"}, Timestamp: 99}
-	rr := post(t, s.Handler(), "/v1/items", map[string]any{"item": itemBody(v)})
-	if rr.Code != http.StatusNoContent {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	if !eng.NeedsRegistration([]model.Item{v}) {
+		t.Fatal("fresh item already registered")
+	}
+	if res := recommendOne(t, s.Handler(), v, 5); res.Error != nil {
+		t.Fatalf("result error: %+v", res.Error)
+	}
+	if eng.NeedsRegistration([]model.Item{v}) {
+		t.Fatal("item not registered after /v2/recommend")
 	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
 	s, _ := testServer(t)
-	rr := get(t, s.Handler(), "/v1/stats")
+	rr := get(t, s.Handler(), "/v2/stats")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d", rr.Code)
 	}
-	var resp struct {
-		Users  int `json:"users"`
-		Blocks int `json:"blocks"`
-		Trees  int `json:"trees"`
-	}
+	var resp statsV2Response
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Users == 0 || resp.Trees == 0 {
-		t.Errorf("degenerate stats: %+v", resp)
+	if resp.Users != s.eng.Users() || resp.Blocks == 0 || resp.Trees == 0 || resp.HashKeys == 0 {
+		t.Errorf("stats %+v disagree with the engine (%d users)", resp, s.eng.Users())
 	}
 }
 
 func TestMethodRouting(t *testing.T) {
 	s, _ := testServer(t)
-	rr := get(t, s.Handler(), "/v1/recommend")
-	if rr.Code != http.StatusMethodNotAllowed && rr.Code != http.StatusNotFound {
-		t.Errorf("GET /v1/recommend = %d", rr.Code)
+	if rr := get(t, s.Handler(), "/v2/recommend"); rr.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v2/recommend = %d, want 405", rr.Code)
+	}
+	if rr := post(t, s.Handler(), "/v2/stats", map[string]any{}); rr.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v2/stats = %d, want 405", rr.Code)
 	}
 }
 
 func TestInvalidJSON(t *testing.T) {
 	s, _ := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader([]byte("{nope")))
-	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, req)
+	rr := postRaw(t, s.Handler(), "/v2/recommend", "application/json", []byte("{nope"))
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("status %d", rr.Code)
 	}
@@ -208,24 +242,27 @@ func TestInvalidJSON(t *testing.T) {
 
 func TestConcurrentRequests(t *testing.T) {
 	s, ds := testServer(t)
-	done := make(chan bool)
+	h := s.Handler()
+	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
+		wg.Add(1)
 		go func(g int) {
-			defer func() { done <- true }()
+			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				v := ds.Items[(g*25+i)%len(ds.Items)]
+				var rr *httptest.ResponseRecorder
 				if g%2 == 0 {
-					post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(v), "k": 5})
+					rr = post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(v)}, "k": 5})
 				} else {
-					post(t, s.Handler(), "/v1/observe", map[string]any{
-						"user_id": fmt.Sprintf("load-user-%d", g), "item": itemBody(v),
-						"timestamp": v.Timestamp + int64(i),
-					})
+					line := observeLine(fmt.Sprintf("load-user-%d", g), v, v.Timestamp+int64(i))
+					rr = postRaw(t, h, "/v2/observe", "application/x-ndjson", []byte(line+"\n"))
+				}
+				if rr.Code != http.StatusOK {
+					t.Errorf("goroutine %d request %d: status %d", g, i, rr.Code)
+					return
 				}
 			}
 		}(g)
 	}
-	for g := 0; g < 6; g++ {
-		<-done
-	}
+	wg.Wait()
 }

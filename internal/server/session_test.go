@@ -503,16 +503,15 @@ func TestSessionRateLimit(t *testing.T) {
 }
 
 // TestV2Auth: with -auth-token set, every /v2 route (session included)
-// AND every deprecated /v1 route requires the bearer token; only
-// /healthz stays open.
+// requires the bearer token; only /healthz stays open.
 func TestV2Auth(t *testing.T) {
 	s, ds, addr := sessionTestServer(t)
 	const token = "hunter2-but-longer"
 	s.AuthToken = token
 	h := s.Handler()
 
-	// Tokenless v2 and v1 → 401 with a challenge.
-	for _, path := range []string{"/v2/stats", "/v1/stats"} {
+	// Tokenless → 401 with a challenge.
+	for _, path := range []string{"/v2/stats", "/v2/trace/none"} {
 		rr := get(t, h, path)
 		if rr.Code != http.StatusUnauthorized {
 			t.Fatalf("GET %s without token = %d, want 401", path, rr.Code)
@@ -559,19 +558,10 @@ func TestV2Auth(t *testing.T) {
 		t.Fatalf("authed close: %v", err)
 	}
 
-	// The deprecated v1 surface is guarded too: a token-protected
-	// deployment must not leave its legacy write paths open.
-	if rr := get(t, h, "/v1/stats"); rr.Code != http.StatusUnauthorized {
-		t.Fatalf("tokenless /v1/stats = %d, want 401", rr.Code)
-	}
-	rr = post(t, h, "/v1/items", map[string]any{"item": itemBody(ds.Items[0])})
+	// Every write path is guarded, not just the reads.
+	rr = postRaw(t, h, "/v2/observe", "application/x-ndjson", []byte(observeLine("u1", ds.Items[0], 1)+"\n"))
 	if rr.Code != http.StatusUnauthorized {
-		t.Fatalf("tokenless POST /v1/items = %d, want 401", rr.Code)
-	}
-	req, _ = http.NewRequest(http.MethodGet, "/v1/stats", nil)
-	req.Header.Set("Authorization", "Bearer "+token)
-	if rw = newRecorder(t, h, req); rw.Code != http.StatusOK {
-		t.Fatalf("authed /v1/stats = %d, want 200", rw.Code)
+		t.Fatalf("tokenless POST /v2/observe = %d, want 401", rr.Code)
 	}
 
 	// Only the liveness probe stays open.
@@ -609,7 +599,7 @@ func (r *recorderResult) Write(b []byte) (int, error) {
 // the pump stalls and command admission stops at queue+buffer capacity —
 // no unbounded growth, and draining recovers everything.
 func TestSessionQueueBoundWithoutConsumer(t *testing.T) {
-	eng := core.NewSafe(core.Config{Categories: []string{"c"}, TrainMaxIter: 2, Restarts: 1, Seed: 3})
+	eng := core.New(core.Config{Categories: []string{"c"}, TrainMaxIter: 2, Restarts: 1, Seed: 3})
 	corpus, irs := tinyTrainCorpus()
 	byID := map[string]model.Item{}
 	for _, v := range corpus {

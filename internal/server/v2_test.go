@@ -59,35 +59,6 @@ func TestRecommendV2Batch(t *testing.T) {
 	}
 }
 
-// TestRecommendV2MatchesV1: the batch protocol returns exactly what the
-// per-item v1 endpoint returns.
-func TestRecommendV2MatchesV1(t *testing.T) {
-	s, ds := testServer(t)
-	h := s.Handler()
-	for _, v := range ds.Items[:5] {
-		v1 := post(t, h, "/v1/recommend", map[string]any{"item": itemBody(v), "k": 7})
-		var v1resp recommendResponse
-		if err := json.Unmarshal(v1.Body.Bytes(), &v1resp); err != nil {
-			t.Fatal(err)
-		}
-		v2 := post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(v)}, "k": 7})
-		v2resp := decodeV2(t, v2)
-		if len(v2resp.Results) != 1 {
-			t.Fatalf("%d v2 results", len(v2resp.Results))
-		}
-		got := v2resp.Results[0].Recommendations
-		want := v1resp.Recommendations
-		if len(got) != len(want) {
-			t.Fatalf("item %s: v2 %d recs, v1 %d", v.ID, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("item %s rec %d: v2 %+v, v1 %+v", v.ID, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestRecommendV2PerItemErrors(t *testing.T) {
 	s, ds := testServer(t)
 	items := []map[string]any{
@@ -164,15 +135,8 @@ func ndjsonLines(t *testing.T, body string) []map[string]any {
 }
 
 func observeLine(userID string, v model.Item, ts int64) string {
-	b, _ := json.Marshal(map[string]any{"user_id": userID, "item": itemBody2(v), "timestamp": ts})
+	b, _ := json.Marshal(map[string]any{"user_id": userID, "item": itemBody(v), "timestamp": ts})
 	return string(b)
-}
-
-func itemBody2(v model.Item) map[string]any {
-	return map[string]any{
-		"id": v.ID, "category": v.Category, "producer": v.Producer,
-		"entities": v.Entities, "timestamp": v.Timestamp,
-	}
 }
 
 func TestObserveV2BulkIngest(t *testing.T) {
@@ -289,21 +253,6 @@ func TestStatsV2(t *testing.T) {
 	rs, ok := resp.Requests["POST /v2/recommend"]
 	if !ok || rs.Count < 1 {
 		t.Fatalf("missing recommend route counters: %+v", resp.Requests)
-	}
-}
-
-func TestV1DeprecationHeaders(t *testing.T) {
-	s, ds := testServer(t)
-	rr := post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(ds.Items[0]), "k": 3})
-	if rr.Header().Get("Deprecation") != "true" {
-		t.Error("v1 response missing Deprecation header")
-	}
-	if link := rr.Header().Get("Link"); !strings.Contains(link, "/v2/recommend") {
-		t.Errorf("Link = %q, want successor-version pointer", link)
-	}
-	rr2 := get(t, s.Handler(), "/v2/stats")
-	if rr2.Header().Get("Deprecation") != "" {
-		t.Error("v2 response carries Deprecation header")
 	}
 }
 

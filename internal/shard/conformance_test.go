@@ -167,10 +167,10 @@ func TestConformanceShardStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boot reference: %v", err)
 	}
-	refStats, ok := reference.IndexStats()
-	if !ok {
+	if !reference.Trained() {
 		t.Fatal("reference engine reports no index")
 	}
+	refStats := reference.IndexStats()
 	r, err := FromSnapshot(fx.Snapshot, 4)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
@@ -196,8 +196,8 @@ func TestConformanceShardStats(t *testing.T) {
 	if owned != refStats.Users {
 		t.Errorf("owned users sum to %d, want %d (exact partition)", owned, refStats.Users)
 	}
-	if leaves != refStats.TotalLeafCount {
-		t.Errorf("leaves sum to %d, want single-engine %d", leaves, refStats.TotalLeafCount)
+	if leaves != refStats.Leaves {
+		t.Errorf("leaves sum to %d, want single-engine %d", leaves, refStats.Leaves)
 	}
 	for _, id := range []string{"uc0001", "uc0042", "anyone"} {
 		own := r.Owner(id)

@@ -86,6 +86,12 @@ type ReplicaSet struct {
 	epochMu   sync.Mutex
 	lastEpoch []string
 
+	// ctl[j] serialises replica j's control operations — probes, snapshot
+	// reseeds and delta replays — so a probe cannot store an epoch it read
+	// before a reseed as the baseline after it (see rebaseEpoch for why a
+	// stale baseline is unsafe).
+	ctl []sync.Mutex
+
 	// ewma[j] holds math.Float64bits of replica j's read-latency EWMA in
 	// milliseconds; 0 means no sample yet. Updates are load-compute-store
 	// (a lost race drops one sample, which the EWMA tolerates).
@@ -134,6 +140,7 @@ func NewReplicaSet(idx int, replicas ...Shard) (*ReplicaSet, error) {
 		reseeding:   make([]atomic.Bool, len(replicas)),
 		applied:     make([]atomic.Uint64, len(replicas)),
 		lastEpoch:   make([]string, len(replicas)),
+		ctl:         make([]sync.Mutex, len(replicas)),
 		ewma:        make([]atomic.Uint64, len(replicas)),
 		probes:      newProbeSchedule(len(replicas), DefaultProbeInterval),
 	}, nil
@@ -231,6 +238,25 @@ func (rs *ReplicaSet) knownEpoch(j int) string {
 	rs.epochMu.Lock()
 	defer rs.epochMu.Unlock()
 	return rs.lastEpoch[j]
+}
+
+// rebaseEpoch records replica j's boot epoch right after a reseed. When
+// the replica cannot report it, the old baseline is dropped, not kept: a
+// kept baseline would let the epoch this reseed minted later pass as
+// proof of a re-seed that debt recorded after it never got. With no
+// baseline the probe rules fail closed and record a fresh one.
+func (rs *ReplicaSet) rebaseEpoch(ctx context.Context, j int) {
+	p, ok := rs.replicas[j].(Pinger)
+	if !ok {
+		return
+	}
+	epoch, err := p.Ping(ctx)
+	if err != nil {
+		epoch = ""
+	}
+	rs.epochMu.Lock()
+	rs.lastEpoch[j] = epoch
+	rs.epochMu.Unlock()
 }
 
 func (rs *ReplicaSet) unavailErr() error {
@@ -339,6 +365,12 @@ func (rs *ReplicaSet) maybeProbe() {
 // reports a replica that is reachable but awaiting training — the signal
 // Ping uses to distinguish ErrNotTrained from unavailability.
 func (rs *ReplicaSet) probeReplica(ctx context.Context, j int) (ok, untrained bool) {
+	// Another control operation on this replica is in flight: report the
+	// replica as it stands and leave the decision to that operation.
+	if !rs.ctl[j].TryLock() {
+		return !rs.down[j].Load() && !rs.missedWrite[j].Load(), false
+	}
+	defer rs.ctl[j].Unlock()
 	gen := rs.debtGen[j].Load()
 	if p, isP := rs.replicas[j].(Pinger); isP {
 		epoch, err := p.Ping(ctx)
@@ -606,7 +638,7 @@ func (rs *ReplicaSet) Handoff(ctx context.Context, snapshot []byte) error {
 			continue
 		}
 		receivers++
-		if err := rs.reseedReplica(ctx, j, sr, snapshot); err != nil {
+		if err := rs.reseedReplica(ctx, j, sr, snapshot, rs.debtGen[j].Load()); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %d: %w", j, err)
 			}
@@ -625,10 +657,12 @@ func (rs *ReplicaSet) Handoff(ctx context.Context, snapshot []byte) error {
 }
 
 // reseedReplica pushes one snapshot to replica j under the generation
-// guard: debt recorded while the snapshot was in flight survives the
-// clear, keeping the replica excluded rather than one batch behind.
-func (rs *ReplicaSet) reseedReplica(ctx context.Context, j int, sr SnapshotReceiver, snapshot []byte) error {
-	gen := rs.debtGen[j].Load()
+// guard: gen is replica j's debt generation captured no later than the
+// snapshot was taken, so debt recorded since survives the clear, keeping
+// the replica excluded rather than one batch behind.
+func (rs *ReplicaSet) reseedReplica(ctx context.Context, j int, sr SnapshotReceiver, snapshot []byte, gen uint64) error {
+	rs.ctl[j].Lock()
+	defer rs.ctl[j].Unlock()
 	rs.reseeding[j].Store(true)
 	defer rs.reseeding[j].Store(false)
 	if err := sr.Handoff(ctx, snapshot); err != nil {
@@ -638,13 +672,9 @@ func (rs *ReplicaSet) reseedReplica(ctx context.Context, j int, sr SnapshotRecei
 	rs.resetApplied(j)
 	rs.clearDebtIfUnchanged(j, gen)
 	rs.down[j].Store(false)
-	if p, ok := rs.replicas[j].(Pinger); ok {
-		pctx, cancel := context.WithTimeout(detach(ctx), readyProbeTimeout)
-		if epoch, err := p.Ping(pctx); err == nil {
-			rs.recordEpoch(j, epoch)
-		}
-		cancel()
-	}
+	pctx, cancel := context.WithTimeout(detach(ctx), readyProbeTimeout)
+	rs.rebaseEpoch(pctx, j)
+	cancel()
 	// Debt that postdates the snapshot keeps the replica excluded; the
 	// snapshot itself was applied, so the handoff still counts.
 	if rs.missedWrite[j].Load() {

@@ -3,8 +3,8 @@
 // registration) so the replicated dictionaries never drift, scatters each
 // query to every shard under one shared score bound, and gathers the
 // per-shard top-k heaps into the final ranking. Its surface mirrors
-// core.Engine / core.SafeEngine so the HTTP server and the bench harness
-// can serve either interchangeably.
+// core.Engine so the HTTP server and the bench harness can serve either
+// interchangeably.
 //
 // # Failover
 //
@@ -181,6 +181,23 @@ func (f *fleet) knownEpoch(i int) string {
 	f.epochMu.Lock()
 	defer f.epochMu.Unlock()
 	return f.lastEpoch[i]
+}
+
+// rebaseEpoch records shard i's boot epoch right after a re-seed. When
+// the shard cannot report it, the old baseline is dropped, not kept (see
+// ReplicaSet.rebaseEpoch): the probe rules then fail closed.
+func (f *fleet) rebaseEpoch(ctx context.Context, i int) {
+	p, ok := f.shards[i].(Pinger)
+	if !ok {
+		return
+	}
+	epoch, err := p.Ping(ctx)
+	if err != nil {
+		epoch = ""
+	}
+	f.epochMu.Lock()
+	f.lastEpoch[i] = epoch
+	f.epochMu.Unlock()
 }
 
 // markDown excludes a shard after an unavailable failure.
@@ -574,11 +591,7 @@ func (r *Router) HandoffSnapshot(ctx context.Context, snapshot []byte) error {
 		// record the fresh boot epoch so later probes have a baseline.
 		f.clearDebtIfUnchanged(i, gen)
 		f.down[i].Store(false)
-		if p, ok := s.(Pinger); ok {
-			if epoch, err := p.Ping(ctx); err == nil {
-				f.recordEpoch(i, epoch)
-			}
-		}
+		f.rebaseEpoch(ctx, i)
 		// Debt that survived the guarded clear keeps the shard excluded —
 		// it rejoins on the next handoff (or probe after a re-seed).
 		if f.missedWrite[i].Load() {

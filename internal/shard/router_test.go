@@ -72,7 +72,7 @@ func TestRouterV1Parity(t *testing.T) {
 	if r.Users() != reference.Users() {
 		t.Errorf("Users: router %d, engine %d", r.Users(), reference.Users())
 	}
-	refStats, _ := reference.IndexStats()
+	refStats := reference.IndexStats()
 	if got := r.IndexStats(); got.Trees != refStats.Trees || got.Blocks != refStats.Blocks {
 		t.Errorf("IndexStats: router %+v, engine %+v", got, refStats)
 	}

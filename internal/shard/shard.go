@@ -265,13 +265,9 @@ func (l *Local) Stats() Stats {
 		Users:       l.eng.Users(),
 		Parallelism: l.eng.Parallelism(),
 	}
-	s.RefreshErrors = l.eng.RefreshErrors()
-	if ist, ok := l.eng.IndexStats(); ok {
-		s.OwnedUsers = ist.OwnedUsers
-		s.Leaves = ist.TotalLeafCount
-		s.Blocks = ist.Blocks
-		s.Trees = ist.Trees
-		s.HashKeys = ist.HashKeys
-	}
+	ist := l.eng.IndexStats()
+	s.RefreshErrors = ist.RefreshErrors
+	s.OwnedUsers, s.Leaves = ist.OwnedUsers, ist.Leaves
+	s.Blocks, s.Trees, s.HashKeys = ist.Blocks, ist.Trees, ist.HashKeys
 	return s
 }

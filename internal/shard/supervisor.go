@@ -233,30 +233,12 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 		}
 		clean := true
 		for _, job := range jobs {
-			job.rs.reseeding[job.j].Store(true)
-			err := job.sr.Handoff(ctx, snapshot)
-			if err != nil {
-				job.rs.reseeding[job.j].Store(false)
-				job.rs.down[job.j].Store(true)
+			if err := job.rs.reseedReplica(ctx, job.j, job.sr, snapshot, job.gen); err != nil {
 				s.failures.Add(1)
 				s.lastErr.Store(fmt.Sprintf("slot %d replica %d: handoff: %v", job.rs.idx, job.j, err))
 				clean = false
 				continue
 			}
-			job.rs.resetApplied(job.j)
-			job.rs.clearDebtIfUnchanged(job.j, job.gen)
-			job.rs.down[job.j].Store(false)
-			if p, ok := job.rs.replicas[job.j].(Pinger); ok {
-				if epoch, perr := p.Ping(ctx); perr == nil {
-					job.rs.recordEpoch(job.j, epoch)
-				}
-			}
-			// Debt recorded since the capture postdates the snapshot: the
-			// replica stays excluded and is reseeded again next sweep.
-			if job.rs.missedWrite[job.j].Load() {
-				job.rs.down[job.j].Store(true)
-			}
-			job.rs.reseeding[job.j].Store(false)
 			job.rs.seedGen.Add(1)
 			// The slot now holds a replica provably reseeded with state at
 			// least as fresh as the capture — clear the slot's ROUTER-level
@@ -295,6 +277,8 @@ func (s *Supervisor) tryDeltaReplay(ctx context.Context, f *fleet, rs *ReplicaSe
 	if !canReplay || !canPing {
 		return false
 	}
+	rs.ctl[j].Lock()
+	defer rs.ctl[j].Unlock()
 	gen := rs.debtGen[j].Load()
 	routerGen := f.debtGen[rs.idx].Load()
 	epoch, err := p.Ping(ctx)
@@ -325,9 +309,7 @@ func (s *Supervisor) tryDeltaReplay(ctx context.Context, f *fleet, rs *ReplicaSe
 	rs.down[j].Store(false)
 	// The replay minted a fresh boot epoch on the replica — record it so
 	// the fail-closed probe rules see the proof-of-reseed signal.
-	if epoch2, perr := p.Ping(ctx); perr == nil {
-		rs.recordEpoch(j, epoch2)
-	}
+	rs.rebaseEpoch(ctx, j)
 	// Debt recorded since the capture postdates the replayed tail: the
 	// replica stays excluded and catches up again next sweep.
 	if rs.missedWrite[j].Load() {

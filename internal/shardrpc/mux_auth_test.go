@@ -1,8 +1,7 @@
-// mux_auth_test.go covers the multiplexed query stream (the batched
-// scatter leg) and the shared bearer-token layer: mux results must match
-// the per-item exchange bit-for-bit, an old shardd without the endpoint
-// must degrade to the per-item path transparently, cancellation must stay
-// a context error, and every endpoint must 401 without the token.
+// mux_auth_test.go covers the multiplexed query stream (the scatter leg)
+// and the shared bearer-token layer: mux results must match the
+// in-process engine bit-for-bit, cancellation must stay a context error,
+// and every endpoint must 401 without the token.
 package shardrpc
 
 import (
@@ -10,13 +9,13 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/http"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"ssrec/internal/core"
+	"ssrec/internal/model"
 	"ssrec/internal/shard"
 )
 
@@ -31,26 +30,34 @@ func bootClient(t *testing.T, lb *loopback) *Client {
 	return c
 }
 
-// TestMuxMatchesPerItem: the same queries over the multiplexed stream and
-// the per-item exchange return identical rankings.
+// TestMuxMatchesPerItem: every query answered over the multiplexed stream
+// matches, item by item, what the in-process engine booted from the same
+// snapshot returns.
 func TestMuxMatchesPerItem(t *testing.T) {
 	tc := buildTinyCorpus()
 	lb := startLoopback(t, 0, 1)
-	muxed := bootClient(t, lb)
-	perItem := NewClient(lb.addr, 0, 1)
-	perItem.DisableMuxScatter = true
-	t.Cleanup(perItem.Close)
+	c := bootClient(t, lb)
+	ref, err := core.LoadFrom(bytes.NewReader(tinySnapshot(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := context.Background()
 	o := core.ResolveOptions(core.WithK(5))
 	for i, v := range append(tc.fresh, tc.query) {
-		a, errA := muxed.Recommend(ctx, v, o, nil)
-		b, errB := perItem.Recommend(ctx, v, o, nil)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("query %d: err %v vs %v", i, errA, errB)
+		// Register on both sides in the same order: registration advances
+		// the expander, so results match only for a common order.
+		ref.RegisterItemBatch([]model.Item{v})
+		if _, err := c.RegisterItems(ctx, []model.Item{v}); err != nil {
+			t.Fatalf("query %d: register: %v", i, err)
 		}
-		if !reflect.DeepEqual(a.Recommendations, b.Recommendations) {
-			t.Fatalf("query %d: mux result diverged\n mux %v\n item %v", i, a.Recommendations, b.Recommendations)
+		want, errWant := ref.RecommendBound(ctx, v, o, nil)
+		got, errGot := c.Recommend(ctx, v, o, nil)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("query %d: err %v vs reference %v", i, errGot, errWant)
+		}
+		if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
+			t.Fatalf("query %d: mux result diverged\n mux %v\n ref %v", i, got.Recommendations, want.Recommendations)
 		}
 	}
 }
@@ -100,53 +107,6 @@ func TestMuxConcurrentQueries(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-// TestMuxFallbackOnOldServer: a shardd build without the query-stream
-// endpoint answers 404; the client must fall back to the per-item
-// exchange permanently and still serve.
-func TestMuxFallbackOnOldServer(t *testing.T) {
-	tc := buildTinyCorpus()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the pre-mux build: 404 the new endpoint, serve the rest.
-	old := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == pathQueryStream {
-			http.NotFound(w, r)
-			return
-		}
-		srv.Handler().ServeHTTP(w, r)
-	})
-	hs := srv.NewHTTPServer(ln.Addr().String())
-	hs.Handler = old
-	go hs.Serve(ln) //nolint:errcheck
-	t.Cleanup(func() { hs.Close() })
-
-	c := NewClient(ln.Addr().String(), 0, 1)
-	t.Cleanup(c.Close)
-	if err := c.Handoff(context.Background(), tinySnapshot(t)); err != nil {
-		t.Fatalf("handoff: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := c.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
-		if err != nil {
-			t.Fatalf("fallback recommend %d: %v", i, err)
-		}
-		if len(res.Recommendations) == 0 {
-			t.Fatalf("fallback recommend %d: empty", i)
-		}
-	}
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if !c.noMux {
-		t.Fatal("client did not latch the per-item fallback")
-	}
 }
 
 // TestMuxCancellation: a cancelled caller gets its context error (not

@@ -9,11 +9,11 @@ package shardrpc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,9 +21,9 @@ import (
 	"ssrec/internal/shard"
 )
 
-// TestLivezReadyzSplit: /livez answers 200 for any serving process,
-// /readyz answers 503 until the shard is booted AND trained, and the
-// deprecated /health alias keeps answering 200 with successor headers.
+// TestLivezReadyzSplit: /livez answers 200 for any serving process and
+// reports the trained flag in its body; /readyz answers 503 until the
+// shard is booted AND trained.
 func TestLivezReadyzSplit(t *testing.T) {
 	lb := startLoopback(t, 0, 2)
 	get := func(path string) *http.Response {
@@ -36,22 +36,25 @@ func TestLivezReadyzSplit(t *testing.T) {
 		return resp
 	}
 
+	livez := func() healthWire {
+		t.Helper()
+		resp := get("/shard/v1/livez")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("livez = %d, want 200", resp.StatusCode)
+		}
+		var h healthWire
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatalf("livez body: %v", err)
+		}
+		return h
+	}
+
 	// Blank shardd: alive (restarting it would not help) but not ready.
-	if resp := get("/shard/v1/livez"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("blank livez = %d, want 200", resp.StatusCode)
+	if h := livez(); h.Trained || h.Shard != 0 || h.Of != 2 {
+		t.Fatalf("blank livez = %+v, want shard 0/2 untrained", h)
 	}
 	if resp := get("/shard/v1/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("blank readyz = %d, want 503", resp.StatusCode)
-	}
-	resp := get("/shard/v1/health")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("blank health = %d, want 200 (deprecated alias never gates)", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("/health is missing the Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/shard/v1/readyz") {
-		t.Fatalf("/health Link = %q, want successor pointer to /readyz", link)
 	}
 
 	// Booted + trained: ready.
@@ -62,6 +65,9 @@ func TestLivezReadyzSplit(t *testing.T) {
 	}
 	if resp := get("/shard/v1/readyz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("booted readyz = %d, want 200", resp.StatusCode)
+	}
+	if h := livez(); !h.Trained || h.BootEpoch == "" {
+		t.Fatalf("booted livez = %+v, want trained with a boot epoch", h)
 	}
 }
 

@@ -82,8 +82,8 @@
 //	err := rec.Train(items, interactions, resolve) // trains once, boots every shardd
 //
 // See the examples/ directory for runnable scenarios, DESIGN.md for the
-// system inventory and the v1→v2 migration table, and OPERATIONS.md for
-// deployment topologies, failover semantics and the recovery runbook.
+// system inventory and the API design, and OPERATIONS.md for deployment
+// topologies, failover semantics and the recovery runbook.
 package ssrec
 
 import (
