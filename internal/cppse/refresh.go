@@ -21,9 +21,7 @@ import (
 
 // refreshScratch carries the reusable buffers of one UpdateUserCats call:
 // the sorted category/producer/entity name slices and the dense signature
-// vectors that UpdateUser used to allocate per (user, category). The
-// signature buffers are scratch-backed, so they are written into trees
-// only through Tree.UpdateCopy / Signature.Clone — never stored directly.
+// vectors that UpdateUser used to allocate per (user, category).
 type refreshScratch struct {
 	cats  []string
 	prods []string
@@ -167,8 +165,8 @@ func (ix *Index) UpdateUserCats(userID string, dirtyCats []string, allDirty bool
 		}
 		if allDirty || containsString(dirtyCats, cat) || !tr.Has(userID) {
 			sig := ix.leafSignatureInto(sc, p, block, cat)
-			if !tr.UpdateCopy(userID, sig) {
-				tr.Insert(userID, sig.Clone())
+			if !tr.Update(userID, *sig) {
+				tr.Insert(userID, *sig)
 			}
 		} else {
 			tr.UpdateProbs(userID, ix.probs.Long(userID, cat), ix.probs.Short(userID, cat))

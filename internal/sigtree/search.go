@@ -194,11 +194,11 @@ func (s *Searcher) RunCtx(ctx context.Context, tqs []TreeQuery, k int, shared *B
 		n := it.node
 		s.stats.NodesVisited++
 		if n.leaf {
-			for i := range n.entries {
-				e := n.entries[i]
-				s.topk.Offer(e.UserID, Score(&e.Sig, it.q))
-				s.stats.EntriesScored++
+			for i := range n.rows {
+				r := &n.rows[i]
+				s.topk.Offer(r.userID, n.scoreRow(r, it.q))
 			}
+			s.stats.EntriesScored += len(n.rows)
 			if shared != nil && s.topk.Full() {
 				shared.Raise(s.topk.WorstScore())
 			}
@@ -398,7 +398,8 @@ func SequentialScan(tqs []TreeQuery, k int) []model.Recommendation {
 	topk := newTopK(k)
 	for _, tq := range tqs {
 		for _, e := range tq.Tree.byUser {
-			topk.Offer(e.UserID, Score(&e.Sig, tq.Query))
+			n := e.parent
+			topk.Offer(e.UserID, n.scoreRow(&n.rows[e.slot], tq.Query))
 		}
 	}
 	return topk.Sorted()

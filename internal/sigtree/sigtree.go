@@ -19,7 +19,17 @@
 // min(), making R(IEntry, v) a true upper bound of R(LEntry, v) for every
 // descendant — the exact analogue of Lemma 1, but tight even for
 // producers/entities outside the block universe (their background term is
-// carried on the query). See DESIGN.md.
+// carried on the query).
+//
+// # Leaf storage
+//
+// Leaves keep the paper's short impact lists: each leaf node owns one slab
+// (leaf.go) with a row per entry — Pl, Ps, totals, recorded vector lengths
+// and user ID — and one array of the rows' nonzero (index, count) cells.
+// Internal entries keep dense aggregates. Signature stays the dense type
+// that Insert, Update and Get exchange; a write copies its nonzeros into
+// the slab and never retains the caller's slices. A row scores
+// bit-identically to its dense signature. See DESIGN.md.
 package sigtree
 
 import (
@@ -71,9 +81,9 @@ func (u *Universe) Len() int { return len(u.names) }
 // Names returns the backing name slice (do not mutate).
 func (u *Universe) Names() []string { return u.names }
 
-// Signature is the impact encoding of one leaf entry (a user's long- and
-// short-term statistics under the tree's category) or the max/min
-// aggregation of an internal entry.
+// Signature is the dense impact encoding of one leaf entry (a user's long-
+// and short-term statistics under the tree's category) or the max/min
+// aggregation of an internal entry. Leaves store it sparsely (leaf.go).
 type Signature struct {
 	Pl float64 // cached long-term BiHMM probability p(c|u)
 	Ps float64 // cached short-term BiHMM probability ps(c|u)
@@ -96,43 +106,51 @@ func (s *Signature) Clone() Signature {
 // foldInto widens dst to dominate src: max of Pl/Ps and count vectors,
 // min of totals.
 func foldInto(dst, src *Signature) {
-	if src.Pl > dst.Pl {
-		dst.Pl = src.Pl
-	}
-	if src.Ps > dst.Ps {
-		dst.Ps = src.Ps
-	}
-	if src.ProdTotal < dst.ProdTotal {
-		dst.ProdTotal = src.ProdTotal
-	}
-	if src.EntTotal < dst.EntTotal {
-		dst.EntTotal = src.EntTotal
-	}
+	foldScalars(dst, src.Pl, src.Ps, src.ProdTotal, src.EntTotal)
 	dst.ProdCounts = foldMax(dst.ProdCounts, src.ProdCounts)
 	dst.EntCounts = foldMax(dst.EntCounts, src.EntCounts)
 }
 
-func foldMax(dst, src []float64) []float64 {
-	if len(src) > len(dst) {
-		if cap(dst) >= len(src) {
-			// Grow within capacity, zeroing the exposed region — the
-			// allocation-free steady state of recomputeSig's buffer reuse.
-			old := len(dst)
-			dst = dst[:len(src)]
-			for i := old; i < len(dst); i++ {
-				dst[i] = 0
-			}
-		} else {
-			grown := make([]float64, len(src))
-			copy(grown, dst)
-			dst = grown
-		}
+func foldScalars(dst *Signature, pl, ps, prodTotal, entTotal float64) {
+	if pl > dst.Pl {
+		dst.Pl = pl
 	}
+	if ps > dst.Ps {
+		dst.Ps = ps
+	}
+	if prodTotal < dst.ProdTotal {
+		dst.ProdTotal = prodTotal
+	}
+	if entTotal < dst.EntTotal {
+		dst.EntTotal = entTotal
+	}
+}
+
+func foldMax(dst, src []float64) []float64 {
+	dst = growZero(dst, len(src))
 	for i, v := range src {
 		if v > dst[i] {
 			dst[i] = v
 		}
 	}
+	return dst
+}
+
+// growZero extends dst to at least n elements, zeroing the exposed region.
+// Growth within capacity is the allocation-free steady state of
+// recomputeSig's buffer reuse.
+func growZero(dst []float64, n int) []float64 {
+	old := len(dst)
+	if n <= old {
+		return dst
+	}
+	if cap(dst) < n {
+		grown := make([]float64, n)
+		copy(grown, dst)
+		return grown
+	}
+	dst = dst[:n]
+	clear(dst[old:])
 	return dst
 }
 
@@ -178,45 +196,53 @@ func Score(sig *Signature, q *Query) float64 {
 	if q.ProdIdx >= 0 && q.ProdIdx < len(sig.ProdCounts) {
 		prodCount = sig.ProdCounts[q.ProdIdx]
 	}
-	prodTerm := (prodCount + q.Mu*q.BgProd) / (sig.ProdTotal + q.Mu)
-
 	var entDot float64
 	for _, we := range q.Ents {
 		if we.Idx >= 0 && we.Idx < len(sig.EntCounts) {
 			entDot += we.W * sig.EntCounts[we.Idx]
 		}
 	}
-	entTerm := (entDot + q.Mu*q.BgEnt) / (sig.EntTotal + q.Mu)
-
-	longTerm := safeLog(sig.Pl) + safeLog(prodTerm) + safeLog(entTerm)
-	return (1-q.LambdaS)*longTerm + q.LambdaS*safeLog(sig.Ps)
+	return score(sig.Pl, sig.Ps, prodCount, sig.ProdTotal, entDot, sig.EntTotal, q)
 }
 
-// LeafEntry is an LEntry: one user's signature plus its location.
+// score is Eq. 3 from a signature's query-resolved terms. Score and the
+// leaf rows (scoreRow) both finish here, so a row scores bit-identically
+// to its dense signature.
+func score(pl, ps, prodCount, prodTotal, entDot, entTotal float64, q *Query) float64 {
+	prodTerm := (prodCount + q.Mu*q.BgProd) / (prodTotal + q.Mu)
+	entTerm := (entDot + q.Mu*q.BgEnt) / (entTotal + q.Mu)
+	longTerm := safeLog(pl) + safeLog(prodTerm) + safeLog(entTerm)
+	return (1-q.LambdaS)*longTerm + q.LambdaS*safeLog(ps)
+}
+
+// LeafEntry is an LEntry: one user's location in the tree. Its signature
+// lives in the leaf slab as row slot of its parent node.
 type LeafEntry struct {
 	UserID string
-	Sig    Signature
 	parent *node
+	slot   int
 }
 
 type node struct {
 	leaf     bool
-	entries  []*LeafEntry // when leaf
+	entries  []*LeafEntry // when leaf: entries[i] owns rows[i]
+	rows     []leafRow    // when leaf: the slab's rows (leaf.go)
+	cells    []cell       // when leaf: the rows' nonzero counts
 	children []*node      // when internal
 	sig      Signature    // aggregate (IEntry signature)
 	parent   *node
 }
 
 func (n *node) recomputeSig() {
-	// Reuse the node's own count buffers: entries/children hold separate
-	// slices, so truncating and refolding in place is safe and keeps
+	// Reuse the node's own count buffers: rows and children hold separate
+	// storage, so truncating and refolding in place is safe and keeps
 	// propagateUp allocation-free once the buffers have grown to size.
 	agg := emptyAgg()
 	agg.ProdCounts = n.sig.ProdCounts[:0]
 	agg.EntCounts = n.sig.EntCounts[:0]
 	if n.leaf {
-		for _, e := range n.entries {
-			foldInto(&agg, &e.Sig)
+		for i := range n.rows {
+			n.foldRow(&agg, &n.rows[i])
 		}
 	} else {
 		for _, c := range n.children {
@@ -260,13 +286,14 @@ func New(blockID int, category string, prod, ent *Universe, fanout int) *Tree {
 // Len returns the number of leaf entries (users).
 func (t *Tree) Len() int { return len(t.byUser) }
 
-// Get returns the signature stored for userID.
+// Get returns the signature stored for userID, rebuilt densely into fresh
+// slices of the lengths it was written with.
 func (t *Tree) Get(userID string) (Signature, bool) {
 	e := t.byUser[userID]
 	if e == nil {
 		return Signature{}, false
 	}
-	return e.Sig, true
+	return e.parent.signature(e.slot), true
 }
 
 // Has reports whether the user has a leaf entry.
@@ -282,10 +309,10 @@ func (t *Tree) Users() []string {
 }
 
 // Insert adds a new leaf entry. Inserting an existing user updates it
-// instead.
+// instead. sig is copied into the tree, never retained.
 func (t *Tree) Insert(userID string, sig Signature) {
 	if e := t.byUser[userID]; e != nil {
-		t.updateEntry(e, sig)
+		t.updateEntry(e, &sig)
 		return
 	}
 	// Descend along the child whose aggregate signature expands least to
@@ -302,46 +329,30 @@ func (t *Tree) Insert(userID string, sig Signature) {
 		}
 		n = best
 	}
-	e := &LeafEntry{UserID: userID, Sig: sig, parent: n}
-	n.entries = append(n.entries, e)
+	e := &LeafEntry{UserID: userID}
+	n.appendRow(e, &sig)
 	t.byUser[userID] = e
 	t.propagateUp(n)
-	if len(n.entries) > t.fanout {
+	if len(n.rows) > t.fanout {
 		t.splitLeaf(n)
 	}
 }
 
 // Update replaces a user's signature and refreshes ancestor aggregates.
-// Returns false if the user is absent.
+// sig is copied into the leaf slab, never retained, so callers may pass
+// scratch-backed signatures. Returns false if the user is absent.
 func (t *Tree) Update(userID string, sig Signature) bool {
 	e := t.byUser[userID]
 	if e == nil {
 		return false
 	}
-	t.updateEntry(e, sig)
+	t.updateEntry(e, &sig)
 	return true
 }
 
-func (t *Tree) updateEntry(e *LeafEntry, sig Signature) {
-	e.Sig = sig
+func (t *Tree) updateEntry(e *LeafEntry, sig *Signature) {
+	e.parent.writeRow(e.slot, sig)
 	t.propagateUp(e.parent)
-}
-
-// UpdateCopy replaces a user's signature by copying sig's values into the
-// leaf-owned slices instead of adopting them — the write path for
-// scratch-backed signatures (cppse's pooled refresh buffers), which must
-// never be stored into the tree. Returns false if the user is absent.
-func (t *Tree) UpdateCopy(userID string, sig *Signature) bool {
-	e := t.byUser[userID]
-	if e == nil {
-		return false
-	}
-	e.Sig.Pl, e.Sig.Ps = sig.Pl, sig.Ps
-	e.Sig.ProdTotal, e.Sig.EntTotal = sig.ProdTotal, sig.EntTotal
-	e.Sig.ProdCounts = append(e.Sig.ProdCounts[:0], sig.ProdCounts...)
-	e.Sig.EntCounts = append(e.Sig.EntCounts[:0], sig.EntCounts...)
-	t.propagateUp(e.parent)
-	return true
 }
 
 // UpdateProbs restamps only the cached BiHMM probabilities of a user's
@@ -354,7 +365,8 @@ func (t *Tree) UpdateProbs(userID string, pl, ps float64) bool {
 	if e == nil {
 		return false
 	}
-	e.Sig.Pl, e.Sig.Ps = pl, ps
+	r := &e.parent.rows[e.slot]
+	r.pl, r.ps = pl, ps
 	t.propagateUp(e.parent)
 	return true
 }
@@ -405,7 +417,7 @@ func expansionCost(agg, sig *Signature) float64 {
 
 func subtreeSize(n *node) int {
 	if n.leaf {
-		return len(n.entries)
+		return len(n.rows)
 	}
 	s := 0
 	for _, c := range n.children {
@@ -415,14 +427,15 @@ func subtreeSize(n *node) int {
 }
 
 func (t *Tree) splitLeaf(n *node) {
-	half := len(n.entries) / 2
-	left := &node{leaf: true, entries: n.entries[:half:half], parent: n.parent}
-	right := &node{leaf: true, entries: append([]*LeafEntry(nil), n.entries[half:]...), parent: n.parent}
-	for _, e := range left.entries {
-		e.parent = left
-	}
-	for _, e := range right.entries {
-		e.parent = right
+	half := len(n.rows) / 2
+	left := &node{leaf: true, parent: n.parent}
+	right := &node{leaf: true, parent: n.parent}
+	for i := range n.rows {
+		if i < half {
+			left.adoptRow(n, i)
+		} else {
+			right.adoptRow(n, i)
+		}
 	}
 	left.recomputeSig()
 	right.recomputeSig()
@@ -483,12 +496,7 @@ func (t *Tree) Delete(userID string) bool {
 		return false
 	}
 	n := e.parent
-	for i, cur := range n.entries {
-		if cur == e {
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			break
-		}
-	}
+	n.removeRow(e.slot)
 	delete(t.byUser, userID)
 	t.propagateUp(n)
 	return true

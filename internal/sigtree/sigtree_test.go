@@ -136,18 +136,20 @@ func TestTreeGrowsDepth(t *testing.T) {
 	}
 }
 
-// collectInvariant walks the tree checking that every internal signature
-// dominates its children (Lemma 1 precondition).
-func checkDomination(t *testing.T, n *node) {
+// checkDomination walks the subtree at n checking that every internal
+// signature dominates its children (Lemma 1 precondition); leaf entries
+// are read through the public Get.
+func checkDomination(t *testing.T, tr *Tree, n *node) {
 	t.Helper()
 	var kids []*Signature
 	if n.leaf {
 		for _, e := range n.entries {
-			kids = append(kids, &e.Sig)
+			sig, _ := tr.Get(e.UserID)
+			kids = append(kids, &sig)
 		}
 	} else {
 		for _, c := range n.children {
-			checkDomination(t, c)
+			checkDomination(t, tr, c)
 			kids = append(kids, &c.sig)
 		}
 	}
@@ -173,7 +175,7 @@ func checkDomination(t *testing.T, n *node) {
 
 func TestDominationInvariantAfterInserts(t *testing.T) {
 	tr, _ := buildTree(t, 150, 4, 5)
-	checkDomination(t, tr.root)
+	checkDomination(t, tr, tr.root)
 }
 
 func TestDominationInvariantAfterUpdates(t *testing.T) {
@@ -182,7 +184,7 @@ func TestDominationInvariantAfterUpdates(t *testing.T) {
 		u := fmt.Sprintf("u%03d", rng.Intn(80))
 		tr.Update(u, randomSignature(4, 6, rng))
 	}
-	checkDomination(t, tr.root)
+	checkDomination(t, tr, tr.root)
 }
 
 func TestUpperBoundHoldsForAllEntries(t *testing.T) {
@@ -384,7 +386,8 @@ func TestDominationProperty(t *testing.T) {
 			var kids []*Signature
 			if n.leaf {
 				for _, e := range n.entries {
-					kids = append(kids, &e.Sig)
+					sig, _ := tr.Get(e.UserID)
+					kids = append(kids, &sig)
 				}
 			} else {
 				for _, c := range n.children {
@@ -455,7 +458,7 @@ func TestDeleteRemovesUser(t *testing.T) {
 		t.Fatal("deleting ghost returned true")
 	}
 	// Invariants hold and search still matches scan.
-	checkDomination(t, tr.root)
+	checkDomination(t, tr, tr.root)
 	q := randomQuery(4, 6, rng)
 	tqs := []TreeQuery{{Tree: tr, Query: q}}
 	got, _ := Search(tqs, 10)
